@@ -20,7 +20,7 @@
 //! The auditor is off the hot path unless enabled; the baseline simulation
 //! is byte-identical with or without it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mmr_sim::Cycles;
@@ -230,15 +230,34 @@ impl AuditConfig {
     }
 }
 
-/// Per-(router, connection) starvation-watchdog state.
-#[derive(Debug, Clone, Copy)]
-struct WatchdogState {
+/// Starvation-watchdog state of one input VC, stamped with the connection
+/// that held it and the router check that last saw that connection live.
+#[derive(Debug, Clone, Copy, Default)]
+struct WatchdogSlot {
+    /// Raw id of the connection the state belongs to.
+    conn: u32,
+    /// The router's check count ([`RouterWatch::checks`]) when the
+    /// connection was last seen live; 0 = never.
+    seen: u64,
     forwarded: u64,
     stalled_since: Option<Cycles>,
     flagged: bool,
 }
 
+/// One router's starvation-watchdog table: a dense slot per input VC,
+/// indexed `port × vcs + vc` and grown on demand.
+#[derive(Debug, Clone, Default)]
+struct RouterWatch {
+    /// `check_router` calls for this router so far.
+    checks: u64,
+    slots: Vec<WatchdogSlot>,
+}
+
 /// The invariant auditor. See the module docs for what it checks.
+///
+/// The per-router pass is allocation-free once its tables have grown and
+/// costs O(ports + live connections) per call: the starvation watchdog is a
+/// dense per-router table indexed by input VC.
 #[derive(Debug, Clone, Default)]
 pub struct Auditor {
     cfg: AuditConfig,
@@ -247,7 +266,11 @@ pub struct Auditor {
     overflow: u64,
     /// `check_router` invocations (for reporting).
     checks: u64,
-    watchdog: BTreeMap<(u16, u32), WatchdogState>,
+    /// Starvation-watchdog tables, indexed by router.
+    watchdog: Vec<RouterWatch>,
+    /// Scratch: VCs mapped per port as `(input, output)` (capacity persists
+    /// across calls).
+    mapped: Vec<(usize, usize)>,
     /// Per-stream next expected end-to-end sequence number.
     streams: BTreeMap<u64, u64>,
 }
@@ -262,6 +285,7 @@ impl Auditor {
     /// cross-router credit conservation).
     pub fn report(&mut self, violation: AuditViolation) {
         if self.violations.len() < self.cfg.max_violations {
+            // mmr-lint: allow(A-PUSH, reason="the store keeps its capacity across cycles and stops growing at max_violations")
             self.violations.push(violation);
         } else {
             self.overflow += 1;
@@ -271,6 +295,7 @@ impl Auditor {
     /// Audits one router's invariants. Call between flit cycles (after
     /// [`Router::step`]); `router` identifies the instance in reports and
     /// `now` drives the starvation watchdog.
+    // mmr-lint: hot
     pub fn check_router(&mut self, router: u16, r: &Router, now: Cycles) {
         self.checks += 1;
         let dims = r.config();
@@ -281,19 +306,24 @@ impl Auditor {
 
         // VC slot conservation: every VC is either on a free stack or mapped
         // by exactly one connection.
-        let mut mapped_in = vec![0usize; ports];
-        let mut mapped_out = vec![0usize; ports];
+        let mut counts = std::mem::take(&mut self.mapped);
+        counts.clear();
+        // mmr-lint: allow(A-PUSH, reason="scratch keeps its capacity across cycles; grows once to the widest router's port count")
+        counts.resize(ports, (0, 0));
         for conn in r.connections_iter() {
-            mapped_in[conn.input_vc.port.index()] += 1;
-            mapped_out[conn.output_vc.port.index()] += 1;
+            if let Some(m) = counts.get_mut(conn.input_vc.port.index()) {
+                m.0 += 1;
+            }
+            if let Some(m) = counts.get_mut(conn.output_vc.port.index()) {
+                m.1 += 1;
+            }
         }
-        for p in 0..ports {
+        for (p, &(mapped_in, mapped_out)) in counts.iter().enumerate() {
             let port = PortId(p as u8);
             let (free_in, free_out) = r.free_vc_counts(port);
-            for (side, mapped, free) in [
-                (VcSide::Input, mapped_in[p], free_in),
-                (VcSide::Output, mapped_out[p], free_out),
-            ] {
+            for (side, mapped, free) in
+                [(VcSide::Input, mapped_in, free_in), (VcSide::Output, mapped_out, free_out)]
+            {
                 if mapped + free != vcs {
                     self.report(AuditViolation::VcSlotLeak {
                         router,
@@ -332,11 +362,25 @@ impl Auditor {
                 });
             }
         }
+        self.mapped = counts;
+
+        // The watchdog table of this router. A slot carries state forward
+        // only if its stamp names the same connection and that connection
+        // was live at this router's previous check; anything else (a torn
+        // down connection, a later one reusing the VC, ids restarting on a
+        // rebuilt router) starts fresh, so state is forgotten at the first
+        // check where the router no longer has the connection.
+        let ri = usize::from(router);
+        if self.watchdog.len() <= ri {
+            // mmr-lint: allow(A-PUSH, reason="the table keeps its capacity across cycles; grows once per newly audited router")
+            self.watchdog.resize(ri + 1, RouterWatch::default());
+        }
+        let mut watch = self.watchdog.get_mut(ri).map(std::mem::take).unwrap_or_default();
+        let prev = watch.checks;
+        watch.checks += 1;
 
         // Per-connection invariants.
-        let mut live: BTreeSet<u32> = BTreeSet::new();
         for conn in r.connections_iter() {
-            live.insert(conn.id.raw());
             if r.credits_tracked() {
                 let credits = r.output_credit(conn.output_vc);
                 if credits as usize > depth {
@@ -363,14 +407,21 @@ impl Auditor {
             // Starvation watchdog: flits queued, none forwarded, for longer
             // than the threshold.
             let occupancy = r.vcm(conn.input_vc.port).occupancy(conn.input_vc.vc);
-            let state = self
-                .watchdog
-                .entry((router, conn.id.raw()))
-                .or_insert(WatchdogState {
+            let slot_ix = conn.input_vc.port.index() * vcs + conn.input_vc.vc.index();
+            if watch.slots.len() <= slot_ix {
+                // mmr-lint: allow(A-PUSH, reason="the table keeps its capacity across cycles; grows once to the highest input VC seen")
+                watch.slots.resize(slot_ix + 1, WatchdogSlot::default());
+            }
+            let Some(state) = watch.slots.get_mut(slot_ix) else { continue };
+            let carried = state.seen != 0 && state.seen == prev && state.conn == conn.id.raw();
+            if !carried {
+                *state = WatchdogSlot {
+                    conn: conn.id.raw(),
                     forwarded: conn.flits_forwarded,
-                    stalled_since: None,
-                    flagged: false,
-                });
+                    ..WatchdogSlot::default()
+                };
+            }
+            state.seen = watch.checks;
             if state.forwarded != conn.flits_forwarded {
                 state.forwarded = conn.flits_forwarded;
                 state.stalled_since = None;
@@ -382,30 +433,34 @@ impl Auditor {
                 let since = *state.stalled_since.get_or_insert(now);
                 if now.since(since) > self.cfg.starvation_threshold && !state.flagged {
                     state.flagged = true;
+                    let stalled_for = now.since(since);
                     self.report(AuditViolation::Starvation {
                         router,
                         conn: conn.id,
-                        stalled_for: now.since(since),
+                        stalled_for,
                         occupancy,
                     });
                 }
             }
         }
-        // Forget watchdog state for connections this router no longer has
-        // (packet connections are torn down within a cycle or two).
-        self.watchdog
-            .retain(|&(rt, id), _| rt != router || live.contains(&id));
+        if let Some(slot) = self.watchdog.get_mut(ri) {
+            *slot = watch;
+        }
     }
 
     /// Feeds one end-to-end delivery: stream `stream` delivered sequence
     /// number `seq` at its destination. Flags losses, duplicates and
     /// reorderings.
+    // mmr-lint: hot
     pub fn observe_delivery(&mut self, stream: u64, seq: u64) {
-        let expected = *self.streams.get(&stream).unwrap_or(&0);
+        // One lookup: the entry is created at a stream's first delivery and
+        // updated in place after that.
+        let next = self.streams.entry(stream).or_insert(0);
+        let expected = *next;
         if seq == expected {
-            self.streams.insert(stream, expected + 1);
+            *next = expected + 1;
         } else if seq > expected {
-            self.streams.insert(stream, seq + 1);
+            *next = seq + 1;
             self.report(AuditViolation::StreamLoss { stream, expected, got: seq });
         } else {
             self.report(AuditViolation::StreamDuplicate { stream, expected, got: seq });
@@ -546,6 +601,85 @@ mod tests {
             .filter(|v| matches!(v, AuditViolation::Starvation { .. }))
             .count();
         assert_eq!(stalls, 1, "one report per stall, not one per cycle");
+    }
+
+    /// The watchdog state the auditor carries for `conn` on `router` out of
+    /// its latest check, if any.
+    fn watched(audit: &Auditor, router: u16, conn: ConnectionId) -> Option<WatchdogSlot> {
+        let watch = audit.watchdog.get(usize::from(router))?;
+        watch.slots.iter().copied().find(|s| s.conn == conn.raw() && s.seen == watch.checks)
+    }
+
+    #[test]
+    fn watchdog_forgets_torn_down_connections_and_restarts_the_stall_clock() {
+        let mut r = audited_router();
+        let req = ConnectionRequest {
+            input: PortId(0),
+            output: PortId(1),
+            class: QosClass::Cbr { rate: Bandwidth::from_mbps(100.0) },
+        };
+        let first = r.establish(req).expect("admitted");
+        let first_vc = r.connection(first).expect("live").input_vc;
+        r.inject(first, Cycles(0)).expect("room");
+        let mut audit = Auditor::new(AuditConfig::default().starvation_threshold(Cycles(10)));
+        for t in 0..8u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        let state = watched(&audit, 0, first).expect("a stalled live connection is watched");
+        assert_eq!(state.stalled_since, Some(Cycles(0)));
+
+        // The first check without the connection drops its state.
+        r.teardown(first).expect("live");
+        audit.check_router(0, &r, Cycles(8));
+        assert!(watched(&audit, 0, first).is_none(), "state outlived the connection");
+
+        // A later connection on the same input VC starts a fresh stall clock.
+        let second = r.establish(req).expect("admitted");
+        assert_eq!(r.connection(second).expect("live").input_vc, first_vc, "VC reused");
+        r.inject(second, Cycles(9)).expect("room");
+        for t in 9..19u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        let state = watched(&audit, 0, second).expect("watched");
+        assert_eq!(state.stalled_since, Some(Cycles(9)), "no inherited stall start");
+        assert!(audit.is_clean(), "stalled 9 cycles < threshold: {}", audit.summary());
+        for t in 19..21u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        assert!(
+            matches!(
+                audit.violations(),
+                [AuditViolation::Starvation { stalled_for: Cycles(11), .. }]
+            ),
+            "the fresh clock fires on its own schedule: {:?}",
+            audit.violations()
+        );
+    }
+
+    #[test]
+    fn watchdog_state_does_not_survive_a_router_rebuild() {
+        let req = ConnectionRequest {
+            input: PortId(0),
+            output: PortId(1),
+            class: QosClass::Cbr { rate: Bandwidth::from_mbps(100.0) },
+        };
+        let mut r = audited_router();
+        let old = r.establish(req).expect("admitted");
+        r.inject(old, Cycles(0)).expect("room");
+        let mut audit = Auditor::new(AuditConfig::default().starvation_threshold(Cycles(10)));
+        for t in 0..5u64 {
+            audit.check_router(0, &r, Cycles(t));
+        }
+        // The router is rebuilt (node repair): one check with no
+        // connections, then its ids restart and reuse the same VC.
+        let mut r = audited_router();
+        audit.check_router(0, &r, Cycles(5));
+        let new = r.establish(req).expect("admitted");
+        assert_eq!(new, old, "ids restart at 0 on a rebuilt router");
+        r.inject(new, Cycles(6)).expect("room");
+        audit.check_router(0, &r, Cycles(6));
+        let state = watched(&audit, 0, new).expect("watched");
+        assert_eq!(state.stalled_since, Some(Cycles(6)), "no inherited stall start");
     }
 
     #[test]

@@ -321,15 +321,15 @@ impl LlrLink {
 
     /// Frames handed to the sender that the receiver has not delivered:
     /// backlog plus unacknowledged replay entries at or past the receiver's
-    /// expected sequence number.
-    fn undelivered(&self) -> usize {
+    /// expected sequence number. Replay entries below it are already
+    /// buffered downstream.
+    fn undelivered(&self) -> impl Iterator<Item = &WireFrame> {
         let expected = self.receiver.expected();
-        self.sender.backlog_len()
-            + self
-                .sender
-                .iter_unacked()
-                .filter(|f| f.flit.link_seq.wrapping_sub(expected) < 1 << 31)
-                .count()
+        let unacked = self
+            .sender
+            .iter_unacked()
+            .filter(move |f| f.flit.link_seq.wrapping_sub(expected) < 1 << 31);
+        self.sender.iter_backlog().chain(unacked)
     }
 }
 
@@ -345,25 +345,49 @@ struct LlrState {
     signals: Vec<(Cycles, (NodeId, PortId), LlrSignal)>,
 }
 
-impl LlrState {
-    /// Frames the retry layer still owes the receiver at `key` on behalf of
-    /// `conn`: enqueued backlog plus unacknowledged replay copies the
-    /// receiver has not delivered. Frames below the receiver's expected
-    /// sequence are already buffered downstream and must not be counted
-    /// twice in the conservation equation.
-    fn pending_for(&self, key: (NodeId, PortId), conn: NetConnectionId) -> usize {
-        let Some(link) = self.links.get(&key) else { return 0 };
-        let expected = link.receiver.expected();
-        link.sender.iter_backlog().filter(|f| f.net_conn == Some(conn)).count()
-            + link
-                .sender
-                .iter_unacked()
-                .filter(|f| {
-                    f.net_conn == Some(conn)
-                        && f.flit.link_seq.wrapping_sub(expected) < 1 << 31
-                })
-                .count()
+/// Frames still owed to downstream input VCs, indexed once per audited
+/// cycle so the credit-conservation pass does one lookup per hop. Both
+/// lists hold one sorted key per owed frame; their capacity persists across
+/// cycles.
+#[derive(Debug, Default)]
+struct PendingIndex {
+    /// Retry-layer frames the receiver has not delivered
+    /// ([`LlrLink::undelivered`]), keyed by receiving endpoint and
+    /// connection.
+    llr: Vec<((NodeId, PortId), NetConnectionId)>,
+    /// Flits on a wire, keyed by receiving endpoint and VC.
+    wire: Vec<(NodeId, PortId, VcIndex)>,
+}
+
+impl PendingIndex {
+    /// Re-indexes the retry layer's buffers and the wires.
+    fn rebuild(&mut self, llr: Option<&LlrState>, in_flight: &[InFlightFlit]) {
+        self.llr.clear();
+        self.wire.clear();
+        for (&key, link) in llr.iter().flat_map(|l| l.links.iter()) {
+            for conn in link.undelivered().filter_map(|f| f.net_conn) {
+                // mmr-lint: allow(A-PUSH, reason="amortized: the index keeps its capacity across cycles")
+                self.llr.push((key, conn));
+            }
+        }
+        for f in in_flight {
+            // mmr-lint: allow(A-PUSH, reason="amortized: the index keeps its capacity across cycles")
+            self.wire.push((f.to, f.port, f.vc));
+        }
+        self.llr.sort_unstable();
+        self.wire.sort_unstable();
     }
+
+    /// Frames owed to input VC `vc` of `(node, port)` on behalf of `conn`.
+    fn owed(&self, node: NodeId, port: PortId, vc: VcIndex, conn: NetConnectionId) -> usize {
+        count_sorted(&self.llr, &((node, port), conn)) + count_sorted(&self.wire, &(node, port, vc))
+    }
+}
+
+/// Occurrences of `key` in the sorted slice `v`.
+fn count_sorted<T: Ord>(v: &[T], key: &T) -> usize {
+    let start = v.partition_point(|x| x < key);
+    v.get(start..).map_or(0, |rest| rest.partition_point(|x| x == key))
 }
 
 #[derive(Debug, Clone)]
@@ -493,6 +517,8 @@ pub struct NetworkSim {
     arrivals_scratch: Vec<PacketArrival>,
     /// Scratch for the blocked-packet retry pass (capacity persists).
     blocked_scratch: Vec<(NodeId, PortId, PacketId)>,
+    /// The audit pass's index of owed frames (capacity persists).
+    pending: PendingIndex,
 }
 
 impl NetworkSim {
@@ -577,6 +603,7 @@ impl NetworkSim {
             in_flight_scratch: Vec::new(),
             arrivals_scratch: Vec::new(),
             blocked_scratch: Vec::new(),
+            pending: PendingIndex::default(),
         }
     }
 
@@ -960,7 +987,7 @@ impl NetworkSim {
         for key in [(node, port), (peer, peer_port)] {
             if let Some(llr) = self.llr.as_mut() {
                 if let Some(link) = llr.links.remove(&key) {
-                    lost += link.undelivered() as u64;
+                    lost += link.undelivered().count() as u64;
                 }
                 llr.signals.retain(|(_, k, _)| *k != key);
             }
@@ -1154,7 +1181,7 @@ impl NetworkSim {
             for key in [(node, port), (peer, peer_port)] {
                 if let Some(llr) = self.llr.as_mut() {
                     if let Some(link) = llr.links.remove(&key) {
-                        lost += link.undelivered() as u64;
+                        lost += link.undelivered().count() as u64;
                     }
                     llr.signals.retain(|(_, k, _)| *k != key);
                 }
@@ -1787,39 +1814,37 @@ impl NetworkSim {
     /// The end-of-cycle invariant pass: per-router structural checks plus
     /// the cross-router credit-conservation equation for every live stream
     /// hop (credits held upstream + flits buffered downstream + frames owed
-    /// by the retry layer must equal the VC depth).
+    /// by the retry layer and the wires must equal the VC depth).
+    ///
+    /// Cost: O(routers + live connections) for the router checks, plus
+    /// O(F log F) to index the F owed frames once and O(log F) per hop.
+    // mmr-lint: hot
     fn run_audit(&mut self, now: Cycles) {
         let Some(mut aud) = self.auditor.take() else { return };
         for (n, r) in self.routers.iter().enumerate() {
             aud.check_router(n as u16, r, now);
         }
+        self.pending.rebuild(self.llr.as_ref(), &self.in_flight);
         for conn in self.conns.values() {
             for pair in conn.hops.windows(2) {
                 let (up, down) = (&pair[0], &pair[1]);
-                let up_router = &self.routers[up.node.index()];
+                let (Some(up_router), Some(down_router)) =
+                    (self.routers.get(up.node.index()), self.routers.get(down.node.index()))
+                else {
+                    continue;
+                };
                 if !up_router.credits_tracked() {
                     continue;
                 }
-                let (Some(up_state), Some(down_state)) = (
-                    up_router.connection(up.local),
-                    self.routers[down.node.index()].connection(down.local),
-                ) else {
+                let (Some(up_state), Some(down_state)) =
+                    (up_router.connection(up.local), down_router.connection(down.local))
+                else {
                     continue;
                 };
                 let credits = up_router.output_credit(up_state.output_vc);
                 let input = down_state.input_vc;
-                let buffered =
-                    self.routers[down.node.index()].vcm(input.port).occupancy(input.vc);
-                let key = (down.node, input.port);
-                let mut in_layer =
-                    self.llr.as_ref().map_or(0, |llr| llr.pending_for(key, conn.id));
-                // Wires with multi-cycle latency would hold flits here;
-                // with the 1-cycle wires this is empty between steps.
-                in_layer += self
-                    .in_flight
-                    .iter()
-                    .filter(|f| f.to == down.node && f.port == input.port && f.vc == input.vc)
-                    .count();
+                let buffered = down_router.vcm(input.port).occupancy(input.vc);
+                let in_layer = self.pending.owed(down.node, input.port, input.vc, conn.id);
                 let depth = up_router.vc_depth();
                 if credits as usize + buffered + in_layer != depth {
                     aud.report(AuditViolation::CreditConservation {
@@ -2219,6 +2244,83 @@ mod fault_plane_tests {
         let aud = net.auditor().expect("enabled");
         assert!(aud.is_clean(), "the retry layer conserves credits: {}", aud.summary());
         assert_eq!(net.stats().undetected_corruptions, 0);
+    }
+
+    /// Brute-force recount of the frames owed to input VC `vc` of
+    /// `(node, port)` for `conn`: scans the link's retry buffers and every
+    /// wire (the reference for [`PendingIndex::owed`]).
+    fn owed_recount(
+        net: &NetworkSim,
+        node: NodeId,
+        port: PortId,
+        vc: VcIndex,
+        conn: NetConnectionId,
+    ) -> usize {
+        let in_llr = net.llr.as_ref().and_then(|l| l.links.get(&(node, port))).map_or(0, |link| {
+            let expected = link.receiver.expected();
+            let backlog = link.sender.iter_backlog().filter(|f| f.net_conn == Some(conn)).count();
+            let unacked = link
+                .sender
+                .iter_unacked()
+                .filter(|f| {
+                    f.net_conn == Some(conn) && f.flit.link_seq.wrapping_sub(expected) < 1 << 31
+                })
+                .count();
+            backlog + unacked
+        });
+        let on_wire =
+            net.in_flight.iter().filter(|f| f.to == node && f.port == port && f.vc == vc).count();
+        in_llr + on_wire
+    }
+
+    #[test]
+    fn pending_index_matches_a_brute_force_recount_under_replays() {
+        let mut net = mesh_net();
+        net.enable_llr(LlrConfig::default());
+        net.enable_audit(AuditConfig::default());
+        let ids = [
+            net.establish(NodeId(0), NodeId(2), cbr(620.0), SetupStrategy::Epb).expect("path"),
+            net.establish(NodeId(0), NodeId(8), cbr(310.0), SetupStrategy::Epb).expect("path"),
+        ];
+        for (hop, kinds) in [
+            (1, [TransientKind::Drop, TransientKind::Corrupt, TransientKind::Drop]),
+            (2, [TransientKind::Corrupt, TransientKind::Drop, TransientKind::Corrupt]),
+        ] {
+            for id in ids {
+                let (node, port) = wire_endpoint(&net, id, hop);
+                for kind in kinds {
+                    net.arm_transient(node, port, kind).expect("wire endpoint");
+                }
+            }
+        }
+        let (mut replay_cycles, mut owed_seen) = (0, 0);
+        for t in 0..400u64 {
+            for id in ids {
+                if net.can_inject(id) {
+                    net.inject(id, Cycles(t)).expect("room");
+                }
+            }
+            net.step(Cycles(t));
+            let llr = net.llr.as_ref().expect("enabled");
+            if llr.links.values().all(|l| l.sender.iter_unacked().next().is_none()) {
+                continue;
+            }
+            replay_cycles += 1;
+            for conn in net.conns.values() {
+                for down in conn.hops.iter().skip(1) {
+                    let state = net.router(down.node).connection(down.local).expect("mapped");
+                    let input = state.input_vc;
+                    let indexed = net.pending.owed(down.node, input.port, input.vc, conn.id);
+                    let recount = owed_recount(&net, down.node, input.port, input.vc, conn.id);
+                    assert_eq!(indexed, recount, "cycle {t}, {:?} hop at {:?}", conn.id, down.node);
+                    owed_seen += indexed;
+                }
+            }
+        }
+        assert!(replay_cycles > 100, "replay frames were outstanding ({replay_cycles} cycles)");
+        assert!(owed_seen > 0, "the retry layer owed frames at some audit");
+        assert!(net.stats().flits_retransmitted > 0, "the transients forced replays");
+        assert!(net.auditor().expect("enabled").is_clean());
     }
 
     #[test]
