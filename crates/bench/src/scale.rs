@@ -19,7 +19,7 @@
 use mmr_core::router::RouterConfig;
 use mmr_net::setup::cbr_mbps;
 use mmr_net::{
-    Butterfly, Dragonfly, MinimalSpec, NetConnectionId, NetworkSim, NodeId, RoutingSpec,
+    AuditMode, Butterfly, Dragonfly, MinimalSpec, NetConnectionId, NetworkSim, NodeId, RoutingSpec,
     SetupStrategy, Topology,
 };
 use mmr_sim::{Cycles, SeededRng};
@@ -153,8 +153,12 @@ pub struct ScaleResult {
     /// Lazily materialized VC queue banks across the fabric (the eager
     /// alternative would be `ports × vcs/32` per router).
     pub materialized_vc_banks: usize,
-    /// Whether the conservation auditor (enabled under `MMR_AUDIT=1`)
-    /// finished clean; `true` when the auditor was off.
+    /// How the conservation auditor ran: off unless `MMR_AUDIT=1` turned
+    /// it on (enforce mode). Throughput under different modes is not
+    /// comparable, so the record states it.
+    pub auditor: AuditMode,
+    /// Whether the conservation auditor finished clean; `true` when the
+    /// auditor was off.
     pub auditor_clean: bool,
 }
 
@@ -261,6 +265,7 @@ pub fn run_point_timed(fabric: ScaleFabric, seed: u64) -> (ScaleResult, f64, f64
     let run_secs = run_start.elapsed().as_secs_f64();
     let stats = net.stats().clone();
     let router_cycles = (0..nodes).map(|n| net.router(NodeId(n as u16)).stats().cycles).sum();
+    let auditor = net.audit_mode();
     let auditor_clean = net.auditor().is_none_or(|a| a.is_clean());
     let result = ScaleResult {
         nodes,
@@ -274,6 +279,7 @@ pub fn run_point_timed(fabric: ScaleFabric, seed: u64) -> (ScaleResult, f64, f64
         footprint_bytes,
         bytes_per_router: footprint_bytes / nodes,
         materialized_vc_banks,
+        auditor,
         auditor_clean,
     };
     (result, build_secs, run_secs)
@@ -310,7 +316,7 @@ pub fn render_table(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String 
     let mut out = String::new();
     out.push_str("MMR scale wall: thousand-node fabrics under CBR churn\n");
     out.push_str(&format!(
-        "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>6}\n",
+        "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>7} {:>6}\n",
         "fabric",
         "nodes",
         "links",
@@ -321,11 +327,12 @@ pub fn render_table(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String 
         "lost",
         "bytes/router",
         "vcbanks",
+        "auditor",
         "clean"
     ));
     for (fabric, r, _) in cells {
         out.push_str(&format!(
-            "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>6}\n",
+            "{:<20} {:>6} {:>6} {:>5} {:>6} {:>9} {:>9} {:>5} {:>12} {:>8} {:>7} {:>6}\n",
             fabric.name(),
             r.nodes,
             r.links,
@@ -336,6 +343,7 @@ pub fn render_table(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String 
             r.lost,
             r.bytes_per_router,
             r.materialized_vc_banks,
+            r.auditor.label(),
             r.auditor_clean
         ));
     }
@@ -375,6 +383,7 @@ pub fn render_json(cells: &[(ScaleFabric, ScaleResult, (f64, f64))]) -> String {
             "      \"materialized_vc_banks\": {},\n",
             r.materialized_vc_banks
         ));
+        out.push_str(&format!("      \"auditor\": \"{}\",\n", r.auditor.label()));
         out.push_str(&format!("      \"auditor_clean\": {},\n", r.auditor_clean));
         out.push_str(&format!("      \"wall_build_secs\": {build_secs:.3},\n"));
         out.push_str(&format!("      \"wall_run_secs\": {run_secs:.3},\n"));
@@ -398,6 +407,12 @@ mod tests {
         assert!(r.delivered > 0, "CBR traffic flowed");
         assert_eq!(r.lost, 0, "nothing faults in the scale campaign");
         assert!(r.auditor_clean);
+        // The record names the auditor mode it ran in: only `MMR_AUDIT=1`
+        // turns the auditor on here, and then it enforces.
+        let audited = std::env::var("MMR_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0");
+        assert_eq!(r.auditor, if audited { AuditMode::Enforce } else { AuditMode::Off });
+        let json = render_json(&[(fabric, r, (0.0, 0.0))]);
+        assert!(json.contains(&format!("\"auditor\": \"{}\",", r.auditor.label())), "{json}");
         assert!(
             r.bytes_per_router <= fabric.bytes_per_router_budget(),
             "bytes/router {} over budget {}",

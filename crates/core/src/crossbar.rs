@@ -14,7 +14,9 @@
 //! silicon-area comparison across crossbar organisations.
 
 use crate::ids::PortId;
+use crate::router::MAX_PORTS;
 use crate::switchsched::MatchedPair;
+use crate::table::mask_ports;
 
 /// Crossbar organisations compared in §3.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +51,10 @@ pub struct Crossbar {
     phits_per_flit: u16,
     /// Current input→output configuration; `None` = disconnected.
     config: Vec<Option<PortId>>,
-    /// Reusable next-configuration buffer ([`Crossbar::apply`] runs every
-    /// flit cycle and must not allocate).
-    scratch: Vec<Option<PortId>>,
+    /// Inputs with a connected crosspoint: bit `i` ⇔ `config[i].is_some()`.
+    /// [`Crossbar::apply`] touches only these and the matched inputs, and
+    /// [`Crossbar::is_idle`] is one word test.
+    connected: u64,
     reconfigurations: u64,
     flits_switched: u64,
 }
@@ -61,17 +64,20 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `ports` or `phits_per_flit` is zero.
+    /// Panics if `ports` or `phits_per_flit` is zero, or if `ports` exceeds
+    /// [`MAX_PORTS`].
     pub fn new(ports: usize, phits_per_flit: u16) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
         assert!(ports > 0, "crossbar needs at least one port");
+        // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
+        assert!(ports <= MAX_PORTS, "the crossbar's connected-input mask supports up to 64 ports");
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
         assert!(phits_per_flit > 0, "a flit is at least one phit");
         Crossbar {
             ports,
             phits_per_flit,
             config: vec![None; ports],
-            scratch: vec![None; ports],
+            connected: 0,
             reconfigurations: 0,
             flits_switched: 0,
         }
@@ -100,17 +106,25 @@ impl Crossbar {
     /// constraint of a multiplexed crossbar.
     // mmr-lint: hot
     pub fn apply(&mut self, pairs: &[MatchedPair]) -> usize {
-        self.scratch.iter_mut().for_each(|s| *s = None);
+        // Only matched inputs and previously connected ones can change, so
+        // the comparison with the old setting costs O(pairs), not O(ports).
+        let mut next: u64 = 0;
+        let mut changed = false;
         for p in pairs {
-            debug_assert!(
-                self.scratch[p.input.index()].is_none(),
-                "multiplexed crossbar carries one flit per input port"
-            );
-            self.scratch[p.input.index()] = Some(p.output);
+            let bit = 1u64 << p.input.index();
+            debug_assert!(next & bit == 0, "multiplexed crossbar carries one flit per input port");
+            next |= bit;
+            let slot = &mut self.config[p.input.index()];
+            changed |= *slot != Some(p.output);
+            *slot = Some(p.output);
         }
-        if self.scratch != self.config {
+        let released = self.connected & !next;
+        for i in mask_ports(released) {
+            self.config[i] = None;
+        }
+        self.connected = next;
+        if changed || released != 0 {
             self.reconfigurations += 1;
-            std::mem::swap(&mut self.config, &mut self.scratch);
         }
         self.flits_switched += pairs.len() as u64;
         pairs.len()
@@ -120,7 +134,12 @@ impl Crossbar {
     /// to an idle crossbar is a no-op, which lets a quiescent router skip
     /// reconfiguration accounting entirely.
     pub fn is_idle(&self) -> bool {
-        self.config.iter().all(Option::is_none)
+        self.connected == 0
+    }
+
+    /// The inputs with a connected crosspoint, as a port mask.
+    pub fn connected_inputs(&self) -> u64 {
+        self.connected
     }
 
     /// The output currently connected to `input`, if any.
@@ -194,6 +213,51 @@ mod tests {
         let reconfs = xb.reconfigurations();
         xb.apply(&[]);
         assert_eq!(xb.reconfigurations(), reconfs);
+    }
+
+    #[test]
+    fn mask_apply_counts_exactly_the_full_config_changes() {
+        // Reference model: the whole old-vs-new configuration comparison
+        // the crossbar did before it kept a connected-input mask.
+        let ports = 33;
+        let mut rng = mmr_sim::SeededRng::new(0xC0FFEE);
+        let mut xb = Crossbar::new(ports, 1);
+        let mut model: Vec<Option<PortId>> = vec![None; ports];
+        let mut model_reconfs = 0u64;
+        let mut last: Vec<MatchedPair> = Vec::new();
+        for step in 0..4000 {
+            let pairs: Vec<MatchedPair> = match step % 5 {
+                // An empty matching.
+                0 => Vec::new(),
+                // The same matching twice.
+                1 => last.clone(),
+                // A shrinking input set: drop a random tail of the last one.
+                2 => last[..rng.index(last.len() + 1)].to_vec(),
+                // A fresh random matching: random inputs, random outputs.
+                _ => {
+                    let mut inputs: Vec<usize> = (0..ports).collect();
+                    rng.shuffle(&mut inputs);
+                    inputs.truncate(rng.index(ports + 1));
+                    inputs.iter().map(|&i| pair(i as u8, rng.index(ports) as u8)).collect()
+                }
+            };
+            let mut next: Vec<Option<PortId>> = vec![None; ports];
+            for p in &pairs {
+                next[p.input.index()] = Some(p.output);
+            }
+            if next != model {
+                model_reconfs += 1;
+                model = next;
+            }
+            xb.apply(&pairs);
+            assert_eq!(xb.reconfigurations(), model_reconfs, "step {step}");
+            for (i, &route) in model.iter().enumerate() {
+                assert_eq!(xb.route_of(PortId(i as u8)), route, "step {step}, input {i}");
+            }
+            assert_eq!(xb.is_idle(), model.iter().all(Option::is_none), "step {step}");
+            last = pairs;
+        }
+        assert!(model_reconfs > 1000, "the walk exercised reconfigurations: {model_reconfs}");
     }
 
     #[test]

@@ -187,11 +187,11 @@ pub struct LinkSchedView<'a> {
     pub policy: CandidatePolicy,
     /// Per-VC class membership masks for this port (see [`ClassMasks`]).
     pub classes: &'a ClassMasks,
-    /// Per-output flag: whether guaranteed (CBR/VBR) traffic may still be
-    /// serviced toward that output this round. Cleared when the output's
+    /// Port mask of the outputs closed to guaranteed (CBR/VBR) traffic
+    /// for the rest of the round: bit `o` is set once output `o`'s
     /// best-effort reserve would be violated (§4.2: "reserve some
     /// bandwidth/round for best-effort traffic").
-    pub guaranteed_open: &'a [bool],
+    pub guaranteed_closed: u64,
     /// Rotating-scan pointer: where the candidate scan starts this cycle.
     pub rr_pointer: usize,
     /// Current flit cycle.
@@ -589,11 +589,9 @@ fn classify(view: &LinkSchedView<'_>, vc_idx: usize, vcs: usize) -> Option<Class
         FlitKind::BestEffort => Some(ServicePhase::BestEffort),
         FlitKind::Data | FlitKind::Command(_) => match conn.class {
             QosClass::Cbr { .. } | QosClass::Vbr { .. }
-                if !view
-                    .guaranteed_open
-                    .get(conn.output_vc.port.index())
-                    .copied()
-                    .unwrap_or(true) =>
+                if view.guaranteed_closed
+                    & 1u64.checked_shl(u32::from(conn.output_vc.port.0)).unwrap_or(0)
+                    != 0 =>
             {
                 // The output's best-effort reserve is exhausted for
                 // this round; guaranteed traffic waits for the next
@@ -671,8 +669,6 @@ mod tests {
     use crate::ids::ConnectionId;
     use mmr_sim::Bandwidth;
 
-    static ALL_OPEN: [bool; 64] = [true; 64];
-
     struct Fixture {
         vcm: VirtualChannelMemory,
         status: StatusMatrix,
@@ -729,7 +725,7 @@ mod tests {
                 enforce_quota: true,
                 policy: CandidatePolicy::PrioritySorted,
                 classes: &self.classes,
-                guaranteed_open: &ALL_OPEN,
+                guaranteed_closed: 0,
                 rr_pointer: 0,
                 now: Cycles(now),
             }

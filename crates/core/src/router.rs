@@ -22,7 +22,13 @@ use crate::flit::{CommandWord, Flit, FlitKind};
 use crate::ids::{ConnectionId, PortId, VcIndex, VcRef};
 use crate::linksched::{CandidatePolicy, ClassMasks, LinkSchedView, LinkScheduler};
 use crate::switchsched::{MatchedPair, SwitchScheduler};
+use crate::table::mask_ports;
 use crate::vcm::{VcmError, VirtualChannelMemory};
+
+/// The most ports a router supports. Every per-port activity flag is one
+/// bit of a `u64` ([`PortMasks`]), as are the switch scheduler's request
+/// bitmaps and the crossbar's connected-input mask.
+pub const MAX_PORTS: usize = 64;
 
 /// Router configuration (consuming builder).
 ///
@@ -189,7 +195,8 @@ impl RouterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or `candidates` exceeds the VC count.
+    /// Panics if any dimension is zero, `candidates` exceeds the VC count,
+    /// or `ports` exceeds [`MAX_PORTS`].
     pub fn build(self) -> Router {
         Router::new(self)
     }
@@ -406,6 +413,34 @@ impl RouterStats {
     }
 }
 
+/// The router's per-port activity flags, one bit per port (bit `p` is port
+/// `p`). Each mask is updated where the state it mirrors changes, so a flit
+/// cycle visits only the ports whose bits are set and
+/// [`Router::is_quiescent`] is a few word tests. DESIGN.md §9 tabulates
+/// where each bit is set and cleared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PortMasks {
+    /// Input ports with at least one buffered flit (mirrors
+    /// `any_set(FlitsAvailable)` on the port's status matrix).
+    pub flits: u64,
+    /// Outputs claimed by a control-packet cut-through this cycle.
+    pub cut_through: u64,
+    /// Outputs that carried a flit or a cut-through in the last step.
+    pub busy: u64,
+    /// Outputs closed to guaranteed (CBR/VBR) traffic for the rest of the
+    /// round: their guaranteed-service count reached the cap left by the
+    /// best-effort reserve.
+    pub guaranteed_closed: u64,
+    /// Input ports with a latched `CbrBandwidthServiced` or
+    /// `VbrBandwidthServiced` bit, which the round boundary clears.
+    pub serviced_latched: u64,
+    /// Input ports whose VCM spent some of its bank-access budget since the
+    /// budget was last reset.
+    pub vcm_touched: u64,
+    /// Input ports with a non-empty candidate list.
+    pub candidates: u64,
+}
+
 /// The MultiMedia Router.
 #[derive(Debug, Clone)]
 pub struct Router {
@@ -429,8 +464,8 @@ pub struct Router {
     /// Guaranteed-class (CBR/VBR) flits serviced per output this round.
     guaranteed_serviced: Vec<u32>,
     rng: SeededRng,
-    cut_through_outputs: Vec<bool>,
-    output_busy_last_cycle: Vec<bool>,
+    /// Per-port activity flags (see [`PortMasks`]).
+    masks: PortMasks,
     flits_transmitted: u64,
     cycles_run: u64,
     cut_throughs: u64,
@@ -459,7 +494,6 @@ pub struct Router {
     /// not allocate (§4.1 motivates single-cycle scheduling decisions).
     candidate_bufs: Vec<Vec<crate::arbiter::Candidate>>,
     pairs_buf: Vec<MatchedPair>,
-    guaranteed_open: Vec<bool>,
     completed_buf: Vec<ConnectionId>,
     /// Whether [`Router::return_credit`] saturates at the buffer depth.
     /// Always `true` in production; the conformance harness disables it via
@@ -480,7 +514,8 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or inconsistent.
+    /// Panics if any dimension is zero or inconsistent, or if the port
+    /// count exceeds [`MAX_PORTS`].
     pub fn new(cfg: RouterConfig) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
         assert!(cfg.ports > 0, "router needs at least one port");
@@ -493,9 +528,13 @@ impl Router {
             cfg.candidates <= usize::from(cfg.vcs_per_port),
             "cannot offer more candidates than virtual channels"
         );
+        // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
+        assert!(usize::from(cfg.ports) <= MAX_PORTS, "a router supports up to 64 ports");
         let ports = usize::from(cfg.ports);
         let vcs = usize::from(cfg.vcs_per_port);
         let round = RoundConfig::new(vcs, cfg.round_k);
+        let guaranteed_cap =
+            ((1.0 - cfg.best_effort_reserve) * round.cycles_per_round() as f64).ceil() as u32;
         let mk_books = || {
             (0..ports)
                 .map(|_| {
@@ -530,22 +569,21 @@ impl Router {
             rr_pointers: vec![0; ports],
             guaranteed_serviced: vec![0; ports],
             rng: SeededRng::new(cfg.seed),
-            cut_through_outputs: vec![false; ports],
-            output_busy_last_cycle: vec![false; ports],
+            masks: PortMasks {
+                guaranteed_closed: closed_at_round_start(guaranteed_cap, ports),
+                ..PortMasks::default()
+            },
             flits_transmitted: 0,
             cycles_run: 0,
             cut_throughs: 0,
             ghost_matches: 0,
             link_scheds: (0..ports).map(|_| LinkScheduler::new(vcs)).collect(),
             class_masks: (0..ports).map(|_| ClassMasks::new(vcs)).collect(),
-            guaranteed_cap: ((1.0 - cfg.best_effort_reserve)
-                * round.cycles_per_round() as f64)
-                .ceil() as u32,
+            guaranteed_cap,
             last_round: u64::MAX,
             next_round_start: 0,
             candidate_bufs: vec![Vec::new(); ports],
             pairs_buf: Vec::new(),
-            guaranteed_open: vec![true; ports],
             completed_buf: Vec::new(),
             credit_clamp: true,
             quarantined: false,
@@ -601,8 +639,7 @@ impl Router {
                 + size_of::<ClassMasks>()
                 + 3 * size_of::<Vec<u32>>()
                 + size_of::<usize>()
-                + size_of::<u32>()
-                + 2 * size_of::<bool>());
+                + size_of::<u32>());
         vcms + status + scheds + masks + stacks + credits + books + allocs + headers
     }
 
@@ -623,6 +660,48 @@ impl Router {
             round_cycles: self.round.cycles_per_round(),
             timing: self.cfg.timing,
         }
+    }
+
+    /// The per-port activity masks.
+    pub fn port_masks(&self) -> PortMasks {
+        self.masks
+    }
+
+    /// Test-only oracle for [`Router::port_masks`]: recomputes every mask
+    /// by visiting each port (and each VC's status bits) instead of reading
+    /// the incrementally kept words. `cut_through` and `busy` are history
+    /// with no per-VC source, so they are copied; callers model them.
+    #[doc(hidden)]
+    pub fn recount_port_masks(&self) -> PortMasks {
+        let vcs = usize::from(self.cfg.vcs_per_port);
+        let any_vc = |p: usize, cond| (0..vcs).any(|vc| self.status[p].get(cond, vc));
+        let mut m = PortMasks {
+            cut_through: self.masks.cut_through,
+            busy: self.masks.busy,
+            ..PortMasks::default()
+        };
+        for p in 0..usize::from(self.cfg.ports) {
+            m.flits = with_bit(m.flits, p, any_vc(p, Condition::FlitsAvailable));
+            m.serviced_latched = with_bit(
+                m.serviced_latched,
+                p,
+                any_vc(p, Condition::CbrBandwidthServiced)
+                    || any_vc(p, Condition::VbrBandwidthServiced),
+            );
+            m.vcm_touched = with_bit(m.vcm_touched, p, self.vcms[p].accesses_this_cycle() > 0);
+            m.candidates = with_bit(m.candidates, p, !self.candidate_bufs[p].is_empty());
+            m.guaranteed_closed = with_bit(
+                m.guaranteed_closed,
+                p,
+                self.guaranteed_serviced[p] >= self.guaranteed_cap,
+            );
+        }
+        m
+    }
+
+    /// The internal switch (configuration and reconfiguration accounting).
+    pub fn crossbar(&self) -> &Crossbar {
+        &self.crossbar
     }
 
     /// Lifetime counters.
@@ -889,6 +968,7 @@ impl Router {
         ] {
             status.set(cond, state.input_vc.vc.index(), false);
         }
+        self.refresh_status_masks(state.input_vc.port.index());
         // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
         self.free_input_vcs[state.input_vc.port.index()].push(state.input_vc.vc);
         self.free_output_vcs[state.output_vc.port.index()].push(state.output_vc.vc); // mmr-lint: allow(A-TRANS, reason="returns a VC to a free list whose capacity was reserved for every VC at construction")
@@ -939,6 +1019,7 @@ impl Router {
     /// # Errors
     ///
     /// Same as [`Router::inject`].
+    // mmr-lint: hot
     pub fn inject_kind(
         &mut self,
         conn: ConnectionId,
@@ -948,15 +1029,11 @@ impl Router {
         let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
         let vc_ref = state.input_vc;
         let flit = Flit::new(conn, kind, state.flits_injected, now);
-        // mmr-lint: allow(A-TRANS, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
+        // mmr-lint: allow(A-PUSH, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
         match self.vcms[vc_ref.port.index()].push(vc_ref.vc, flit, now) {
             Ok(()) => {
                 state.flits_injected += 1;
-                self.status[vc_ref.port.index()].set(
-                    Condition::FlitsAvailable,
-                    vc_ref.vc.index(),
-                    true,
-                );
+                self.note_buffered(vc_ref);
                 Ok(())
             }
             Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn)),
@@ -972,6 +1049,7 @@ impl Router {
     /// # Errors
     ///
     /// Same as [`Router::inject`].
+    // mmr-lint: hot
     pub fn accept(
         &mut self,
         conn: ConnectionId,
@@ -981,19 +1059,37 @@ impl Router {
         let state = self.conns.get_mut(conn).ok_or(InjectError::UnknownConnection(conn))?;
         let vc_ref = state.input_vc;
         let retagged = Flit { conn, ..flit };
+        // mmr-lint: allow(A-PUSH, reason="VirtualChannelMemory::push is depth-gated VCM admission, not container growth; its buffer ops are audited in vcm.rs")
         match self.vcms[vc_ref.port.index()].push(vc_ref.vc, retagged, now) {
             Ok(()) => {
                 state.flits_injected += 1;
-                self.status[vc_ref.port.index()].set(
-                    Condition::FlitsAvailable,
-                    vc_ref.vc.index(),
-                    true,
-                );
+                self.note_buffered(vc_ref);
                 Ok(())
             }
             Err(VcmError::BufferFull { .. }) => Err(InjectError::BufferFull(conn)),
             Err(VcmError::NoSuchVc { .. }) => Err(InjectError::InvalidVc(conn)),
         }
+    }
+
+    /// Bookkeeping after a flit was pushed into `vc`'s VCM: the status bit,
+    /// the port's buffered-flit bit, and its spent bank-access budget.
+    fn note_buffered(&mut self, vc: VcRef) {
+        let p = vc.port.index();
+        self.status[p].set(Condition::FlitsAvailable, vc.vc.index(), true);
+        self.masks.flits |= 1 << p;
+        self.masks.vcm_touched |= 1 << p;
+    }
+
+    /// Recomputes input `port`'s status-derived mask bits after a change
+    /// that may have cleared the last set VC of a bank (teardown, an
+    /// `AbortFrame` flush).
+    fn refresh_status_masks(&mut self, port: usize) {
+        let status = &self.status[port];
+        let latched = status.any_set(Condition::CbrBandwidthServiced)
+            || status.any_set(Condition::VbrBandwidthServiced);
+        self.masks.flits =
+            with_bit(self.masks.flits, port, status.any_set(Condition::FlitsAvailable));
+        self.masks.serviced_latched = with_bit(self.masks.serviced_latched, port, latched);
     }
 
     /// Whether `conn` can accept another flit this cycle.
@@ -1028,11 +1124,11 @@ impl Router {
             "VCT packets are control or best-effort"
         );
 
+        let out_bit = 1u64 << output.index();
         if matches!(kind, FlitKind::Control)
-            && !self.output_busy_last_cycle[output.index()]
-            && !self.cut_through_outputs[output.index()]
+            && (self.masks.busy | self.masks.cut_through) & out_bit == 0
         {
-            self.cut_through_outputs[output.index()] = true;
+            self.masks.cut_through |= out_bit;
             self.cut_throughs += 1;
             return Ok(PacketOutcome::CutThrough);
         }
@@ -1055,6 +1151,7 @@ impl Router {
 
     /// Returns one credit for an output VC (the downstream router freed a
     /// buffer slot). No-op unless credit tracking is enabled.
+    // mmr-lint: hot
     pub fn return_credit(&mut self, output_vc: VcRef) {
         if !self.cfg.track_output_credits {
             return;
@@ -1080,9 +1177,9 @@ impl Router {
     }
 
     /// Whether a [`Router::step`] right now would provably do nothing: no
-    /// VC anywhere holds a ready flit (checked with one word-parallel
-    /// operation per 64 VCs), no cut-through is armed, no output was busy
-    /// last cycle, and the crossbar is disconnected. An event-driven engine
+    /// port holds a ready flit, no cut-through is armed, no output was busy
+    /// last cycle, and the crossbar is disconnected — four port-mask words,
+    /// whatever the port and VC counts. An event-driven engine
     /// may skip a quiescent router's cycles entirely — every per-cycle
     /// output and statistic stays byte-identical to dense stepping —
     /// provided it accounts the skipped cycles via
@@ -1090,10 +1187,7 @@ impl Router {
     /// flit is injected or accepted.
     // mmr-lint: hot
     pub fn is_quiescent(&self) -> bool {
-        self.status.iter().all(|s| !s.any_set(Condition::FlitsAvailable))
-            && !self.cut_through_outputs.contains(&true)
-            && !self.output_busy_last_cycle.contains(&true)
-            && self.crossbar.is_idle()
+        (self.masks.flits | self.masks.cut_through | self.masks.busy) == 0 && self.crossbar.is_idle()
     }
 
     /// Accounts `n` quiescent cycles that an event-driven caller skipped
@@ -1124,11 +1218,13 @@ impl Router {
     pub fn step_into(&mut self, now: Cycles, report: &mut StepReport) {
         report.transmitted.clear();
         report.outputs_used = 0;
-        let ports = usize::from(self.cfg.ports);
         self.cycles_run += 1;
-        for vcm in &mut self.vcms {
-            vcm.begin_cycle();
+        // Only a VCM that was accessed since its last reset has a budget to
+        // reset.
+        for p in mask_ports(self.masks.vcm_touched) {
+            self.vcms[p].begin_cycle();
         }
+        self.masks.vcm_touched = 0;
 
         // Round boundary: reset every connection's serviced quota (§4.1)
         // and the per-output guaranteed-service counters. Latched on the
@@ -1145,20 +1241,22 @@ impl Router {
                 conn.serviced_this_round = 0;
             }
             self.guaranteed_serviced.fill(0);
-            for status in &mut self.status {
-                status.clear_condition(Condition::CbrBandwidthServiced);
-                status.clear_condition(Condition::VbrBandwidthServiced);
+            self.masks.guaranteed_closed =
+                closed_at_round_start(self.guaranteed_cap, usize::from(self.cfg.ports));
+            for p in mask_ports(self.masks.serviced_latched) {
+                self.status[p].clear_condition(Condition::CbrBandwidthServiced);
+                self.status[p].clear_condition(Condition::VbrBandwidthServiced);
             }
+            self.masks.serviced_latched = 0;
         }
 
-        // Quiescent fast path: one word-parallel test per 64 VCs answers
-        // "do any of these lanes have work?". With no ready flit anywhere,
-        // no armed cut-through, no output busy last cycle and an idle
-        // crossbar, the full pass below is a provable no-op — selection
-        // finds no candidates (the eligible set requires flits_available),
-        // the scheduler draws no randomness on empty inputs, the empty
-        // matching leaves the idle crossbar untouched, and the busy flags
-        // stay clear — so it is skipped wholesale.
+        // Quiescent fast path: with no ready flit anywhere, no armed
+        // cut-through, no output busy last cycle and an idle crossbar, the
+        // full pass below is a provable no-op — selection finds no
+        // candidates (the eligible set requires flits_available), the
+        // scheduler draws no randomness on empty inputs, the empty matching
+        // leaves the idle crossbar untouched, and the busy flags stay clear
+        // — so it is skipped wholesale.
         if self.is_quiescent() {
             return;
         }
@@ -1175,22 +1273,16 @@ impl Router {
                 usize::from(self.cfg.vcs_per_port)
             }
         };
-        // Best-effort reserve: guaranteed traffic may use at most
-        // (1 - reserve) of each output's round (§4.2). The cap is a pure
-        // function of the configuration, precomputed at construction.
-        for (open, &serviced) in self.guaranteed_open.iter_mut().zip(&self.guaranteed_serviced) {
-            *open = serviced < self.guaranteed_cap;
-        }
 
-        for p in 0..ports {
-            // Quiescent-port fast path: with no buffered flit on the whole
-            // port the eligible set is provably empty, so selection would
-            // offer nothing and leave the rotating pointer unchanged — one
-            // word-parallel bank test skips the pass (and the view build).
-            if !self.status[p].any_set(Condition::FlitsAvailable) {
-                self.candidate_bufs[p].clear();
-                continue;
-            }
+        // A port with no buffered flit has a provably empty eligible set:
+        // selection would offer nothing and leave its rotating pointer
+        // unchanged, so only the ports in the flit mask are scheduled, and
+        // a port that drained since its last selection just drops its list.
+        for p in mask_ports(self.masks.candidates & !self.masks.flits) {
+            self.candidate_bufs[p].clear();
+        }
+        self.masks.candidates &= self.masks.flits;
+        for p in mask_ports(self.masks.flits) {
             let next_pointer = self.link_scheds[p].select(
                 &LinkSchedView {
                     port: PortId(p as u8),
@@ -1202,19 +1294,22 @@ impl Router {
                     enforce_quota: self.cfg.enforce_round_quota,
                     policy: self.cfg.candidate_policy,
                     classes: &self.class_masks[p],
-                    guaranteed_open: &self.guaranteed_open,
+                    guaranteed_closed: self.masks.guaranteed_closed,
                     rr_pointer: self.rr_pointers[p],
                     now,
                 },
                 &mut self.candidate_bufs[p],
             );
             self.rr_pointers[p] = next_pointer;
+            self.masks.candidates =
+                with_bit(self.masks.candidates, p, !self.candidate_bufs[p].is_empty());
         }
 
         // Switch scheduling.
         self.scheduler.schedule_into(
             &self.candidate_bufs,
-            &self.cut_through_outputs,
+            self.masks.candidates,
+            self.masks.cut_through,
             &mut self.rng,
             &mut self.pairs_buf,
         );
@@ -1243,10 +1338,8 @@ impl Router {
         self.completed_buf = completed_packets;
 
         // Output-busy bookkeeping for next cycle's cut-through decisions.
-        for (o, busy) in self.output_busy_last_cycle.iter_mut().enumerate() {
-            *busy = outputs_used & (1 << o) != 0 || self.cut_through_outputs[o];
-        }
-        self.cut_through_outputs.fill(false);
+        self.masks.busy = outputs_used | self.masks.cut_through;
+        self.masks.cut_through = 0;
 
         report.outputs_used = outputs_used.count_ones() as usize;
         self.flits_transmitted += report.transmitted.len() as u64;
@@ -1261,8 +1354,11 @@ impl Router {
     ) -> Option<Transmitted> {
         let p = pair.input.index();
         let (flit, delay, emptied) = self.vcms[p].pop_timed(pair.vc, now)?;
+        self.masks.vcm_touched |= 1 << p;
         if emptied {
             self.status[p].set(Condition::FlitsAvailable, pair.vc.index(), false);
+            let any = self.status[p].any_set(Condition::FlitsAvailable);
+            self.masks.flits = with_bit(self.masks.flits, p, any);
         }
 
         let track_credits = self.cfg.track_output_credits;
@@ -1297,8 +1393,14 @@ impl Router {
             }
             _ => None,
         };
+        // Best-effort reserve (§4.2): an output whose guaranteed service
+        // reaches the cap closes to CBR/VBR traffic until the round ends.
         if matches!(state.class, QosClass::Cbr { .. } | QosClass::Vbr { .. }) {
-            self.guaranteed_serviced[state.output_vc.port.index()] += 1;
+            let o = state.output_vc.port.index();
+            self.guaranteed_serviced[o] += 1;
+            if self.guaranteed_serviced[o] >= self.guaranteed_cap {
+                self.masks.guaranteed_closed |= 1 << o;
+            }
         }
         let output_vc = state.output_vc;
         let input_vc = state.input_vc;
@@ -1320,6 +1422,7 @@ impl Router {
                     let dropped = self.vcms[p].flush(input_vc.vc);
                     if dropped > 0 {
                         self.status[p].set(Condition::FlitsAvailable, input_vc.vc.index(), false);
+                        self.refresh_status_masks(p);
                     }
                 }
             }
@@ -1335,6 +1438,7 @@ impl Router {
         }
         if let Some(cond) = serviced_cond {
             self.status[p].set(cond, input_vc.vc.index(), true);
+            self.masks.serviced_latched |= 1 << p;
         }
 
         if is_packet {
@@ -1343,6 +1447,22 @@ impl Router {
         }
 
         Some(Transmitted { conn: pair.conn, input_vc, output_vc, flit, delay })
+    }
+}
+
+/// `mask` with bit `p` set to `on`.
+fn with_bit(mask: u64, p: usize, on: bool) -> u64 {
+    (mask & !(1 << p)) | (u64::from(on) << p)
+}
+
+/// The guaranteed-closed mask at the start of a round, when every output's
+/// guaranteed-service count is zero: all outputs if the best-effort reserve
+/// leaves guaranteed traffic no cycle at all, none otherwise.
+fn closed_at_round_start(guaranteed_cap: u32, ports: usize) -> u64 {
+    if guaranteed_cap == 0 {
+        u64::MAX >> (64 - ports)
+    } else {
+        0
     }
 }
 

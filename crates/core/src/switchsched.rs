@@ -23,7 +23,8 @@ use mmr_sim::SeededRng;
 
 use crate::arbiter::{ArbiterKind, Candidate};
 use crate::ids::{ConnectionId, PortId, VcIndex};
-use crate::table::PortMap;
+use crate::router::MAX_PORTS;
+use crate::table::{mask_ports, PortMap};
 
 /// One (input VC → output port) assignment for the coming flit cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,12 +67,12 @@ impl SwitchScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `ports` is zero.
+    /// Panics if `ports` is zero or exceeds [`MAX_PORTS`].
     pub fn new(kind: ArbiterKind, ports: usize) -> Self {
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
         assert!(ports > 0, "a router needs at least one port");
         // mmr-lint: allow(P-PANIC, reason="construction-time config validation (documented # Panics contract), not on the flit-cycle path")
-        assert!(ports <= 64, "the scheduler's request bitmaps support up to 64 ports");
+        assert!(ports <= MAX_PORTS, "the scheduler's request bitmaps support up to 64 ports");
         SwitchScheduler {
             kind,
             ports,
@@ -91,22 +92,27 @@ impl SwitchScheduler {
     /// Computes the matching for the next flit cycle.
     ///
     /// `candidates[p]` is input port `p`'s ranked candidate list (from
-    /// [`crate::linksched::select_candidates`]); `output_blocked[o]` marks
-    /// outputs already claimed this cycle (e.g. by a VCT cut-through, §3.4:
-    /// "the corresponding switch port and output link will be considered
-    /// busy during link arbitration for the next flit cycle").
+    /// [`crate::linksched::select_candidates`]); bit `o` of `output_blocked`
+    /// marks an output already claimed this cycle (e.g. by a VCT
+    /// cut-through, §3.4: "the corresponding switch port and output link
+    /// will be considered busy during link arbitration for the next flit
+    /// cycle").
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree with the port count.
+    /// Panics if the candidate lists disagree with the port count.
     pub fn schedule(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        output_blocked: u64,
         rng: &mut SeededRng,
     ) -> Vec<MatchedPair> {
+        let live = candidates
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (p, list)| if list.is_empty() { mask } else { mask | (1 << p) });
         let mut pairs = Vec::new();
-        self.schedule_into(candidates, output_blocked, rng, &mut pairs);
+        self.schedule_into(candidates, live, output_blocked, rng, &mut pairs);
         pairs
     }
 
@@ -114,36 +120,45 @@ impl SwitchScheduler {
     /// writes the matching into it, so the per-cycle router loop can reuse
     /// one buffer instead of allocating a fresh `Vec` every flit cycle.
     ///
+    /// `live_inputs` is the mask of inputs with a non-empty candidate list
+    /// (the router keeps it up to date); only those inputs are visited, so
+    /// the cost follows the busy ports rather than the port count.
+    ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree with the port count.
+    /// Panics if the candidate lists disagree with the port count.
     // mmr-lint: hot
     pub fn schedule_into(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        live_inputs: u64,
+        output_blocked: u64,
         rng: &mut SeededRng,
         pairs: &mut Vec<MatchedPair>,
     ) {
         // mmr-lint: allow(P-PANIC, reason="sizing contract vs construction-time invariant; one comparison per cycle, not data-dependent")
         assert_eq!(candidates.len(), self.ports, "one candidate list per input port");
-        // mmr-lint: allow(P-PANIC, reason="sizing contract vs construction-time invariant; one comparison per cycle, not data-dependent")
-        assert_eq!(output_blocked.len(), self.ports, "one blocked flag per output port");
+        debug_assert!(
+            candidates.iter().enumerate().all(|(p, l)| l.is_empty() != (live_inputs & (1 << p) != 0)),
+            "live-input mask disagrees with the candidate lists"
+        );
         pairs.clear();
         match self.kind {
             ArbiterKind::FixedPriority
             | ArbiterKind::BiasedPriority
             | ArbiterKind::OldestFirst => {
-                self.priority_match(candidates, output_blocked, false, pairs)
+                self.priority_match(candidates, live_inputs, output_blocked, false, pairs)
             }
-            ArbiterKind::RoundRobin => self.priority_match(candidates, output_blocked, true, pairs),
+            ArbiterKind::RoundRobin => {
+                self.priority_match(candidates, live_inputs, output_blocked, true, pairs)
+            }
             ArbiterKind::Autonet { iterations } => {
-                self.pim_match(candidates, output_blocked, iterations, rng, pairs)
+                self.pim_match(candidates, live_inputs, output_blocked, iterations, rng, pairs)
             }
             ArbiterKind::Islip { iterations } => {
-                self.islip_match(candidates, output_blocked, iterations, pairs)
+                self.islip_match(candidates, live_inputs, output_blocked, iterations, pairs)
             }
-            ArbiterKind::Perfect => Self::perfect_match(candidates, pairs),
+            ArbiterKind::Perfect => Self::perfect_match(candidates, live_inputs, pairs),
         }
     }
 
@@ -154,22 +169,17 @@ impl SwitchScheduler {
     fn priority_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        input_live: u64,
+        output_blocked: u64,
         rotating_outputs: bool,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let ports = self.ports;
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
+        let mut output_matched = output_blocked;
         // Inputs that can still propose: non-empty candidate lists only, so
         // the propose rounds walk a shrinking bitmask instead of re-visiting
         // idle ports.
-        let mut input_live: u64 = 0;
-        for (p, list) in candidates.iter().enumerate() {
-            if !list.is_empty() {
-                input_live |= 1 << p;
-            }
-        }
 
         loop {
             // Each unmatched input proposes its best candidate whose output
@@ -238,13 +248,14 @@ impl SwitchScheduler {
     fn pim_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        input_live: u64,
+        output_blocked: u64,
         iterations: u32,
         rng: &mut SeededRng,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
+        let mut output_matched = output_blocked;
         let mut requests = std::mem::take(&mut self.requests);
         let mut grants = std::mem::take(&mut self.grants);
 
@@ -254,10 +265,8 @@ impl SwitchScheduler {
             for reqs in requests.iter_mut() {
                 reqs.clear(); // per output: inputs
             }
-            for (p, list) in candidates.iter().enumerate() {
-                if input_matched & (1 << p) != 0 {
-                    continue;
-                }
+            for p in mask_ports(input_live & !input_matched) {
+                let Some(list) = candidates.get(p) else { continue };
                 let mut seen: u64 = 0;
                 for c in list {
                     let o = c.output.index();
@@ -319,13 +328,14 @@ impl SwitchScheduler {
     fn islip_match(
         &mut self,
         candidates: &[Vec<Candidate>],
-        output_blocked: &[bool],
+        input_live: u64,
+        output_blocked: u64,
         iterations: u32,
         pairs: &mut Vec<MatchedPair>,
     ) {
         let ports = self.ports;
         let mut input_matched: u64 = 0;
-        let mut output_matched = blocked_mask(output_blocked);
+        let mut output_matched = output_blocked;
         let mut requests = std::mem::take(&mut self.requests);
         let mut grants = std::mem::take(&mut self.grants);
 
@@ -333,10 +343,8 @@ impl SwitchScheduler {
             for reqs in requests.iter_mut() {
                 reqs.clear();
             }
-            for (p, list) in candidates.iter().enumerate() {
-                if input_matched & (1 << p) != 0 {
-                    continue;
-                }
+            for p in mask_ports(input_live & !input_matched) {
+                let Some(list) = candidates.get(p) else { continue };
                 let mut seen: u64 = 0;
                 for c in list {
                     let o = c.output.index();
@@ -395,18 +403,13 @@ impl SwitchScheduler {
     /// The perfect switch: every input transmits its top-ranked candidate;
     /// outputs accept any number of flits in the same cycle.
     // mmr-lint: hot
-    fn perfect_match(candidates: &[Vec<Candidate>], pairs: &mut Vec<MatchedPair>) {
+    fn perfect_match(candidates: &[Vec<Candidate>], input_live: u64, pairs: &mut Vec<MatchedPair>) {
         // mmr-lint: allow(A-PUSH, reason="amortized: reusable buffer retains its capacity across cycles (PR 1 zero-alloc design)")
-        pairs.extend(candidates.iter().filter_map(|list| list.first().map(MatchedPair::from)));
+        pairs.extend(
+            mask_ports(input_live)
+                .filter_map(|p| candidates.get(p)?.first().map(MatchedPair::from)),
+        );
     }
-}
-
-/// Packs the blocked-output flags into a 64-bit occupancy mask.
-fn blocked_mask(output_blocked: &[bool]) -> u64 {
-    output_blocked
-        .iter()
-        .enumerate()
-        .fold(0u64, |mask, (o, &blocked)| if blocked { mask | (1 << o) } else { mask })
 }
 
 /// Checks that a matching is feasible for a multiplexed crossbar: at most
@@ -460,7 +463,7 @@ mod tests {
             vec![],
             vec![],
         ];
-        let pairs = s.schedule(&cands, &[false; 4], &mut rng());
+        let pairs = s.schedule(&cands, 0, &mut rng());
         assert!(is_valid_matching(&pairs, 4, false));
         assert_eq!(pairs.len(), 2, "loser falls back to its second candidate");
         let winner = pairs.iter().find(|p| p.output == PortId(2)).expect("output 2 matched");
@@ -473,7 +476,7 @@ mod tests {
     fn single_candidate_loser_goes_unmatched() {
         let mut s = SwitchScheduler::new(ArbiterKind::BiasedPriority, 2);
         let cands = vec![vec![cand(0, 0, 1, 1.0)], vec![cand(1, 0, 1, 2.0)]];
-        let pairs = s.schedule(&cands, &[false; 2], &mut rng());
+        let pairs = s.schedule(&cands, 0, &mut rng());
         assert_eq!(pairs.len(), 1, "with one candidate there is no fallback");
         assert_eq!(pairs[0].input, PortId(1));
     }
@@ -482,7 +485,7 @@ mod tests {
     fn blocked_outputs_are_skipped() {
         let mut s = SwitchScheduler::new(ArbiterKind::BiasedPriority, 2);
         let cands = vec![vec![cand(0, 0, 1, 1.0)], vec![]];
-        let pairs = s.schedule(&cands, &[false, true], &mut rng());
+        let pairs = s.schedule(&cands, 0b10, &mut rng());
         assert!(pairs.is_empty(), "output 1 is claimed by a cut-through");
     }
 
@@ -499,8 +502,8 @@ mod tests {
             })
             .collect();
         let mut s = SwitchScheduler::new(ArbiterKind::BiasedPriority, 4);
-        let one = s.schedule(&lists_1, &[false; 4], &mut rng()).len();
-        let four = s.schedule(&lists_4, &[false; 4], &mut rng()).len();
+        let one = s.schedule(&lists_1, 0, &mut rng()).len();
+        let four = s.schedule(&lists_4, 0, &mut rng()).len();
         assert_eq!(one, 1);
         assert_eq!(four, 4, "4 candidates per input saturate the switch");
     }
@@ -513,7 +516,7 @@ mod tests {
         let cands: Vec<Vec<Candidate>> =
             (0..8).map(|i| (0..8).map(|o| cand(i, u16::from(o), o, 0.0)).collect()).collect();
         for _ in 0..50 {
-            let pairs = s.schedule(&cands, &[false; 8], &mut r);
+            let pairs = s.schedule(&cands, 0, &mut r);
             assert!(is_valid_matching(&pairs, 8, false));
             assert_eq!(pairs.len(), 8, "dense PIM converges to a perfect matching");
         }
@@ -524,8 +527,7 @@ mod tests {
         let mut s = SwitchScheduler::new(ArbiterKind::autonet_default(), 4);
         let cands: Vec<Vec<Candidate>> =
             (0..4).map(|i| vec![cand(i, 0, 0, 0.0)]).collect();
-        let blocked = [true, false, false, false];
-        let pairs = s.schedule(&cands, &blocked, &mut rng());
+        let pairs = s.schedule(&cands, 0b0001, &mut rng());
         assert!(pairs.is_empty());
     }
 
@@ -534,11 +536,11 @@ mod tests {
         let mut s = SwitchScheduler::new(ArbiterKind::Islip { iterations: 4 }, 4);
         let cands: Vec<Vec<Candidate>> =
             (0..4).map(|i| (0..4).map(|o| cand(i, u16::from(o), o, 0.0)).collect()).collect();
-        let pairs = s.schedule(&cands, &[false; 4], &mut rng());
+        let pairs = s.schedule(&cands, 0, &mut rng());
         assert!(is_valid_matching(&pairs, 4, false));
         assert_eq!(pairs.len(), 4);
         // Pointers rotate: repeated scheduling shifts the grants.
-        let again = s.schedule(&cands, &[false; 4], &mut rng());
+        let again = s.schedule(&cands, 0, &mut rng());
         assert!(is_valid_matching(&again, 4, false));
         assert_eq!(again.len(), 4);
     }
@@ -547,8 +549,8 @@ mod tests {
     fn islip_pointer_rotation_shares_contested_output() {
         let mut s = SwitchScheduler::new(ArbiterKind::Islip { iterations: 1 }, 2);
         let cands = vec![vec![cand(0, 0, 0, 0.0)], vec![cand(1, 0, 0, 0.0)]];
-        let first = s.schedule(&cands, &[false; 2], &mut rng());
-        let second = s.schedule(&cands, &[false; 2], &mut rng());
+        let first = s.schedule(&cands, 0, &mut rng());
+        let second = s.schedule(&cands, 0, &mut rng());
         assert_eq!(first.len(), 1);
         assert_eq!(second.len(), 1);
         assert_ne!(first[0].input, second[0].input, "pointer moved past the first winner");
@@ -559,7 +561,7 @@ mod tests {
         let mut s = SwitchScheduler::new(ArbiterKind::Perfect, 4);
         let cands: Vec<Vec<Candidate>> =
             (0..4).map(|i| vec![cand(i, 0, 0, 0.0)]).collect();
-        let pairs = s.schedule(&cands, &[false; 4], &mut rng());
+        let pairs = s.schedule(&cands, 0, &mut rng());
         assert_eq!(pairs.len(), 4, "all four inputs transmit to output 0 at once");
         assert!(is_valid_matching(&pairs, 4, true));
         assert!(!is_valid_matching(&pairs, 4, false));
@@ -569,15 +571,15 @@ mod tests {
     fn round_robin_rotates_winners() {
         let mut s = SwitchScheduler::new(ArbiterKind::RoundRobin, 2);
         let cands = vec![vec![cand(0, 0, 0, 0.0)], vec![cand(1, 0, 0, 0.0)]];
-        let a = s.schedule(&cands, &[false; 2], &mut rng())[0].input;
-        let b = s.schedule(&cands, &[false; 2], &mut rng())[0].input;
+        let a = s.schedule(&cands, 0, &mut rng())[0].input;
+        let b = s.schedule(&cands, 0, &mut rng())[0].input;
         assert_ne!(a, b, "grant pointer alternates the contested output");
     }
 
     #[test]
     fn empty_candidates_yield_empty_matching() {
         let mut s = SwitchScheduler::new(ArbiterKind::BiasedPriority, 3);
-        let pairs = s.schedule(&vec![Vec::new(); 3], &[false; 3], &mut rng());
+        let pairs = s.schedule(&vec![Vec::new(); 3], 0, &mut rng());
         assert!(pairs.is_empty());
     }
 }

@@ -275,9 +275,32 @@ impl OutputSet {
     }
 }
 
+/// The ports of a 64-bit port mask, in ascending order.
+///
+/// The router keeps its per-port activity flags as `u64` masks (ports ≤
+/// [`crate::router::MAX_PORTS`]); per-cycle loops walk the set bits with
+/// this instead of visiting every port.
+pub(crate) fn mask_ports(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let p = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(p)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mask_ports_walks_set_bits_in_ascending_order() {
+        assert_eq!(mask_ports(0).count(), 0);
+        let ports: Vec<usize> = mask_ports((1 << 63) | (1 << 32) | 0b101).collect();
+        assert_eq!(ports, [0, 2, 32, 63]);
+    }
 
     #[test]
     fn port_map_round_trips_by_id_and_raw_index() {

@@ -194,6 +194,13 @@ impl VirtualChannelMemory {
         self.accesses_this_cycle = 0;
     }
 
+    /// Flit accesses counted against the bank budget since the last
+    /// [`VirtualChannelMemory::begin_cycle`]; zero means the reset is a
+    /// no-op.
+    pub fn accesses_this_cycle(&self) -> usize {
+        self.accesses_this_cycle
+    }
+
     /// Records the kind of the (possibly absent) head flit of `vc` in the
     /// head-kind status vectors.
     fn note_head_kind(&mut self, vc: usize, kind: Option<FlitKind>) {

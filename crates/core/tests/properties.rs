@@ -2,8 +2,9 @@
 
 use mmr_core::arbiter::ArbiterKind;
 use mmr_core::conn::{ConnectionRequest, QosClass};
+use mmr_core::flit::{CommandWord, FlitKind};
 use mmr_core::ids::{ConnectionId, PortId, VcIndex};
-use mmr_core::router::{EstablishError, RouterConfig};
+use mmr_core::router::{EstablishError, PacketOutcome, RouterConfig};
 use mmr_core::switchsched::is_valid_matching;
 use mmr_core::vcm::VirtualChannelMemory;
 use mmr_core::{Candidate, Flit, ServicePhase, SwitchScheduler};
@@ -56,7 +57,7 @@ proptest! {
     fn matchings_are_valid((lists, kind, seed) in (candidate_lists(), arbiter_kinds(), any::<u64>())) {
         let mut sched = SwitchScheduler::new(kind, 8);
         let mut rng = SeededRng::new(seed);
-        let pairs = sched.schedule(&lists, &[false; 8], &mut rng);
+        let pairs = sched.schedule(&lists, 0, &mut rng);
         prop_assert!(is_valid_matching(&pairs, 8, false));
         for p in &pairs {
             prop_assert!(lists[p.input.index()]
@@ -71,12 +72,11 @@ proptest! {
         (lists, kind, seed, blocked_mask) in
             (candidate_lists(), arbiter_kinds(), any::<u64>(), any::<u8>())
     ) {
-        let blocked: Vec<bool> = (0..8).map(|i| blocked_mask & (1 << i) != 0).collect();
         let mut sched = SwitchScheduler::new(kind, 8);
         let mut rng = SeededRng::new(seed);
-        let pairs = sched.schedule(&lists, &blocked, &mut rng);
+        let pairs = sched.schedule(&lists, u64::from(blocked_mask), &mut rng);
         for p in &pairs {
-            prop_assert!(!blocked[p.output.index()], "matched a blocked output");
+            prop_assert!(blocked_mask & (1 << p.output.index()) == 0, "matched a blocked output");
         }
     }
 
@@ -86,7 +86,7 @@ proptest! {
     fn priority_matching_is_maximal((lists, seed) in (candidate_lists(), any::<u64>())) {
         let mut sched = SwitchScheduler::new(ArbiterKind::BiasedPriority, 8);
         let mut rng = SeededRng::new(seed);
-        let pairs = sched.schedule(&lists, &[false; 8], &mut rng);
+        let pairs = sched.schedule(&lists, 0, &mut rng);
         let mut in_used = [false; 8];
         let mut out_used = [false; 8];
         for p in &pairs {
@@ -213,5 +213,132 @@ proptest! {
             transmitted += router.step(Cycles(cycle as u64)).transmitted.len() as u64;
         }
         prop_assert_eq!(injected, transmitted, "all injected flits eventually leave");
+    }
+}
+
+/// Folds the ports satisfying `pred` into a port mask.
+fn mask_of(ports: u8, pred: impl Fn(PortId) -> bool) -> u64 {
+    (0..ports).filter(|&p| pred(PortId(p))).fold(0, |m, p| m | 1 << p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The router's port masks always equal a brute-force recount from the
+    /// per-VC state, and `is_quiescent` equals its old four-scan definition
+    /// (no VC with a flit, no armed cut-through, no output busy last cycle,
+    /// no connected crosspoint), under random establish / inject / accept /
+    /// VCT packet / step / credit return / teardown / `AbortFrame` /
+    /// quarantine sequences on 2- to 64-port routers. `cut_through` and
+    /// `busy` have no per-VC source, so the test models them itself.
+    #[test]
+    fn port_masks_match_a_per_vc_recount(
+        (ports, seed, track_credits, ops) in (
+            prop_oneof![Just(2u8), Just(8u8), Just(33u8), Just(64u8)],
+            any::<u64>(),
+            any::<bool>(),
+            prop::collection::vec((0u8..16, any::<u16>(), any::<u16>()), 1..400),
+        )
+    ) {
+        let mut r = RouterConfig::paper_default()
+            .ports(ports)
+            .vcs_per_port(8)
+            .vc_depth(3)
+            .candidates(2)
+            // 16-cycle rounds: quotas latch and reset often. Half of each
+            // round is reserved for best effort, so outputs close to
+            // guaranteed traffic after 8 flits.
+            .round_k(2)
+            .best_effort_reserve(0.5)
+            .track_output_credits(track_credits)
+            .seed(seed)
+            .build();
+        let port = |x: u16| PortId((x % u16::from(ports)) as u8);
+        let mut conns: Vec<ConnectionId> = Vec::new();
+        let (mut cut_through, mut busy) = (0u64, 0u64);
+        let mut now = 0u64;
+        for (op, a, b) in ops {
+            let t = Cycles(now);
+            let picked = (!conns.is_empty()).then(|| conns[usize::from(a) % conns.len()]);
+            match (op, picked) {
+                (0..=2, _) => {
+                    let mbps = |m: f64| Bandwidth::from_mbps(m);
+                    let class = match b % 4 {
+                        0 => QosClass::Vbr { permanent: mbps(124.0), peak: mbps(248.0), priority: 1 },
+                        1 => QosClass::Cbr { rate: mbps(124.0) },
+                        2 => QosClass::Cbr { rate: mbps(310.0) },
+                        _ => QosClass::Cbr { rate: mbps(620.0) },
+                    };
+                    let req = ConnectionRequest { input: port(a), output: port(b / 4), class };
+                    if let Ok(id) = r.establish(req) {
+                        conns.push(id);
+                    }
+                }
+                (3..=5, Some(c)) => {
+                    let _ = r.inject(c, t);
+                }
+                (6, Some(c)) => {
+                    let _ = r.accept(c, Flit::data(ConnectionId(u32::MAX), u64::from(b), t), t);
+                }
+                (7, Some(c)) => {
+                    // An abort followed by as much data as fits: when the
+                    // command word crosses the switch it flushes the rest.
+                    let abort = FlitKind::Command(CommandWord::AbortFrame);
+                    if r.inject_kind(c, abort, t).is_ok() {
+                        while r.inject(c, t).is_ok() {}
+                    }
+                }
+                (8, _) => {
+                    let kind = if b % 2 == 0 { FlitKind::Control } else { FlitKind::BestEffort };
+                    let output = port(b / 2);
+                    if let Ok(PacketOutcome::CutThrough) = r.inject_packet(port(a), output, kind, t) {
+                        cut_through |= 1 << output.index();
+                    }
+                }
+                (9..=12, _) => {
+                    let report = r.step(t);
+                    busy = report
+                        .transmitted
+                        .iter()
+                        .fold(cut_through, |m, x| m | 1 << x.output_vc.port.index());
+                    cut_through = 0;
+                    now += 1;
+                    if r.is_quiescent() {
+                        // Skip ahead as an event-driven engine would,
+                        // sometimes across round boundaries.
+                        now += u64::from(a % 40);
+                    }
+                }
+                (13, Some(c)) => {
+                    if let Some(out) = r.connection(c).map(|s| s.output_vc) {
+                        r.return_credit(out);
+                    }
+                }
+                (14, Some(_)) => {
+                    let _ = r.teardown(conns.swap_remove(usize::from(a) % conns.len()));
+                }
+                (15, _) => {
+                    if r.is_quarantined() {
+                        r.lift_quarantine();
+                    } else {
+                        r.quarantine();
+                        conns.clear();
+                    }
+                }
+                _ => {}
+            }
+
+            let masks = r.port_masks();
+            let recount = r.recount_port_masks();
+            prop_assert_eq!(masks, recount, "after op {} at cycle {}", op, now);
+            prop_assert_eq!(masks.cut_through, cut_through);
+            prop_assert_eq!(masks.busy, busy);
+            prop_assert_eq!(masks.flits, mask_of(ports, |p| r.vcm(p).flits_available().any()));
+            let routed = mask_of(ports, |p| r.crossbar().route_of(p).is_some());
+            prop_assert_eq!(r.crossbar().connected_inputs(), routed);
+            let old_quiescent =
+                recount.flits == 0 && cut_through == 0 && busy == 0 && routed == 0;
+            prop_assert_eq!(r.is_quiescent(), old_quiescent);
+        }
     }
 }

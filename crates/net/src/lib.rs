@@ -79,7 +79,7 @@ pub use admission::{
 pub use driver::{NetExperiment, NetExperimentResult, PopulationOutcome};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan, FaultPlanError, FaultTick};
 pub use network::{
-    DeliveredFlit, DeliveredPacket, NetConnection, NetConnectionId, NetError, NetStats,
+    AuditMode, DeliveredFlit, DeliveredPacket, NetConnection, NetConnectionId, NetError, NetStats,
     NetStepReport, NetworkSim, PacketId, ProbeToken, SetupEvent, TransientKind,
 };
 pub use recovery::{

@@ -439,6 +439,28 @@ struct PacketArrival {
     packet: PacketId,
 }
 
+/// How a [`NetworkSim`]'s invariant auditor runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditMode {
+    /// No auditor.
+    Off,
+    /// Violations accumulate ([`NetworkSim::enable_audit`]).
+    Record,
+    /// The first violation panics (the `MMR_AUDIT=1` environment switch).
+    Enforce,
+}
+
+impl AuditMode {
+    /// `"off"`, `"record"` or `"enforce"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            AuditMode::Off => "off",
+            AuditMode::Record => "record",
+            AuditMode::Enforce => "enforce",
+        }
+    }
+}
+
 /// The multi-router simulator.
 #[derive(Debug)]
 pub struct NetworkSim {
@@ -659,6 +681,15 @@ impl NetworkSim {
     /// The invariant auditor, when enabled.
     pub fn auditor(&self) -> Option<&Auditor> {
         self.auditor.as_ref()
+    }
+
+    /// Whether the auditor is off, recording, or enforcing.
+    pub fn audit_mode(&self) -> AuditMode {
+        match (&self.auditor, self.audit_enforce) {
+            (None, _) => AuditMode::Off,
+            (Some(_), false) => AuditMode::Record,
+            (Some(_), true) => AuditMode::Enforce,
+        }
     }
 
     /// Arms a transient wire fault: the next stream flit delivered into

@@ -130,11 +130,13 @@ impl Dragonfly {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] if the wiring plan asks for a duplicate
-    /// or over-budget link; unreachable for valid parameters.
+    /// or over-budget link; unreachable for valid parameters. Returns
+    /// [`TopologyError::TooManyPorts`] if a router would need more ports
+    /// than a router supports (`a + h + p - 1 > 64`).
     pub fn build(&self) -> Result<Topology, TopologyError> {
         let a = usize::from(self.routers_per_group);
         let g = usize::from(self.groups);
-        let mut t = Topology::new(self.nodes(), self.ports_per_node());
+        let mut t = Topology::try_new(self.nodes(), usize::from(self.ports_per_node()))?;
         // Fully-connected groups.
         for group in 0..g {
             for i in 0..a {

@@ -64,9 +64,11 @@ impl Hypercube {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] if the wiring plan asks for a duplicate
-    /// or over-budget link; unreachable for valid parameters.
+    /// or over-budget link; unreachable for valid parameters. Returns
+    /// [`TopologyError::TooManyPorts`] if a router would need more ports
+    /// than a router supports.
     pub fn build(&self) -> Result<Topology, TopologyError> {
-        let mut t = Topology::new(self.nodes(), self.ports_per_node());
+        let mut t = Topology::try_new(self.nodes(), usize::from(self.ports_per_node()))?;
         for n in 0..self.nodes() {
             for b in 0..self.dim {
                 let m = n ^ (1usize << b);

@@ -16,6 +16,7 @@
 //! figures that the property-test wall checks against the built graph.
 
 use mmr_core::ids::PortId;
+use mmr_core::router::MAX_PORTS;
 use mmr_sim::SeededRng;
 
 mod dragonfly;
@@ -61,6 +62,14 @@ pub enum TopologyError {
         /// Second endpoint of the existing link.
         b: NodeId,
     },
+    /// The shape needs more ports per router than a router supports
+    /// ([`MAX_PORTS`]).
+    TooManyPorts {
+        /// Ports per router the shape asks for.
+        ports: usize,
+        /// The router's limit.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -71,6 +80,9 @@ impl std::fmt::Display for TopologyError {
             }
             TopologyError::DuplicateLink { a, b } => {
                 write!(f, "nodes {a} and {b} are already linked")
+            }
+            TopologyError::TooManyPorts { ports, max } => {
+                write!(f, "{ports} ports per router exceed the router's limit of {max}")
             }
         }
     }
@@ -114,6 +126,24 @@ impl Topology {
             wires: Vec::new(),
             peer: vec![vec![None; usize::from(ports_per_node)]; nodes],
         }
+    }
+
+    /// [`Topology::new`] for the builders: refuses a port count no router
+    /// can have instead of leaving it to panic when the routers are built.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::TooManyPorts`] if `ports_per_node` exceeds
+    /// [`MAX_PORTS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub(crate) fn try_new(nodes: usize, ports_per_node: usize) -> Result<Self, TopologyError> {
+        if ports_per_node > MAX_PORTS {
+            return Err(TopologyError::TooManyPorts { ports: ports_per_node, max: MAX_PORTS });
+        }
+        Ok(Topology::new(nodes, ports_per_node as u8))
     }
 
     /// Number of routers.
@@ -266,8 +296,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoFreePort`] if a router runs out of ports
-    /// while wiring.
+    /// Returns [`TopologyError::TooManyPorts`] if `ports_per_node` exceeds
+    /// [`MAX_PORTS`], and [`TopologyError::NoFreePort`] if a router runs out
+    /// of ports while wiring.
     ///
     /// # Panics
     ///
@@ -275,7 +306,7 @@ impl Topology {
     pub fn mesh2d(width: usize, height: usize, ports_per_node: u8) -> Result<Self, TopologyError> {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
         assert!(ports_per_node >= 5, "a 2D mesh router needs >= 5 ports");
-        let mut t = Topology::new(width * height, ports_per_node);
+        let mut t = Topology::try_new(width * height, usize::from(ports_per_node))?;
         let id = |x: usize, y: usize| NodeId((y * width + x) as u16);
         for y in 0..height {
             for x in 0..width {
@@ -295,8 +326,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoFreePort`] if a router runs out of ports
-    /// while wiring.
+    /// Returns [`TopologyError::TooManyPorts`] if `ports_per_node` exceeds
+    /// [`MAX_PORTS`], and [`TopologyError::NoFreePort`] if a router runs out
+    /// of ports while wiring.
     ///
     /// # Panics
     ///
@@ -304,7 +336,7 @@ impl Topology {
     pub fn torus2d(width: usize, height: usize, ports_per_node: u8) -> Result<Self, TopologyError> {
         assert!(width > 0 && height > 0, "torus dimensions must be positive");
         assert!(ports_per_node >= 5, "a 2D torus router needs >= 5 ports");
-        let mut t = Topology::new(width * height, ports_per_node);
+        let mut t = Topology::try_new(width * height, usize::from(ports_per_node))?;
         let id = |x: usize, y: usize| NodeId((y * width + x) as u16);
         for y in 0..height {
             for x in 0..width {
@@ -323,8 +355,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoFreePort`] if a router runs out of ports
-    /// while wiring.
+    /// Returns [`TopologyError::TooManyPorts`] if `ports_per_node` exceeds
+    /// [`MAX_PORTS`], and [`TopologyError::NoFreePort`] if a router runs out
+    /// of ports while wiring.
     ///
     /// # Panics
     ///
@@ -332,7 +365,7 @@ impl Topology {
     pub fn ring(nodes: usize, ports_per_node: u8) -> Result<Self, TopologyError> {
         assert!(nodes >= 3, "a ring needs at least three nodes");
         assert!(ports_per_node >= 3, "a ring router needs >= 3 ports");
-        let mut t = Topology::new(nodes, ports_per_node);
+        let mut t = Topology::try_new(nodes, usize::from(ports_per_node))?;
         for n in 0..nodes {
             t.connect_next_free(NodeId(n as u16), NodeId(((n + 1) % nodes) as u16))?;
         }
@@ -345,8 +378,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoFreePort`] if a router runs out of ports
-    /// while wiring (the degree bound makes this unreachable in practice).
+    /// Returns [`TopologyError::TooManyPorts`] if `ports_per_node` exceeds
+    /// [`MAX_PORTS`], and [`TopologyError::NoFreePort`] if a router runs out
+    /// of ports while wiring (the degree bound makes this unreachable in practice).
     ///
     /// # Panics
     ///
@@ -359,7 +393,7 @@ impl Topology {
     ) -> Result<Self, TopologyError> {
         assert!(nodes > 0, "need at least one node");
         assert!(ports_per_node >= 3, "irregular routers need >= 3 ports");
-        let mut t = Topology::new(nodes, ports_per_node);
+        let mut t = Topology::try_new(nodes, usize::from(ports_per_node))?;
         let max_degree = usize::from(ports_per_node) - 1; // keep one NI port
         // Random spanning tree: connect each new node to a random earlier
         // node with spare degree.

@@ -109,9 +109,11 @@ impl Butterfly {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] if the wiring plan asks for a duplicate
-    /// or over-budget link; unreachable for valid parameters.
+    /// or over-budget link; unreachable for valid parameters. Returns
+    /// [`TopologyError::TooManyPorts`] if a router would need more ports
+    /// than a router supports.
     pub fn build(&self) -> Result<Topology, TopologyError> {
-        let mut t = Topology::new(self.nodes(), self.ports_per_node());
+        let mut t = Topology::try_new(self.nodes(), usize::from(self.ports_per_node()))?;
         for s in 0..usize::from(self.stages) - 1 {
             for row in 0..self.rows() {
                 for v in 0..usize::from(self.k) {

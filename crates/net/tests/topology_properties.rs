@@ -198,3 +198,29 @@ fn thousand_node_shapes_wire_within_budget() {
     assert_eq!(t.wires().len(), b.links());
     assert!(t.is_connected());
 }
+
+/// A shape that needs more ports per router than a router supports is
+/// refused with a typed error by its builder, instead of panicking later
+/// when `NetworkSim::new` builds the routers. The largest legal shapes
+/// still build and simulate.
+#[test]
+fn shapes_beyond_the_router_port_limit_are_typed_errors() {
+    use mmr_core::router::{RouterConfig, MAX_PORTS};
+    let too_many = TopologyError::TooManyPorts { ports: MAX_PORTS + 1, max: MAX_PORTS };
+    // a = 64: 63 local + 1 global + 1 terminal port.
+    assert_eq!(Topology::dragonfly(64, 1, 1).err(), Some(too_many));
+    assert_eq!(Dragonfly::balanced(64, 1, 1).build().err(), Some(too_many));
+    assert_eq!(Topology::mesh2d(2, 2, 65).err(), Some(too_many));
+    assert_eq!(Topology::torus2d(2, 2, 65).err(), Some(too_many));
+    assert_eq!(Topology::ring(3, 65).err(), Some(too_many));
+    assert_eq!(Hypercube::with_terminals(4, 61).build().err(), Some(too_many));
+    assert_eq!(Butterfly::with_terminals(2, 2, 61).build().err(), Some(too_many));
+    assert!(too_many.to_string().contains("65 ports"), "{too_many}");
+
+    let edge = Topology::mesh2d(2, 2, 64).expect("64 ports is the limit, not past it");
+    let cfg = RouterConfig::paper_default().vcs_per_port(4).candidates(2);
+    let net = mmr_net::NetworkSim::new(edge, cfg);
+    assert_eq!(net.topology().ports_per_node(), 64);
+    let d = Dragonfly::balanced(63, 1, 1);
+    assert_eq!(usize::from(d.ports_per_node()), MAX_PORTS);
+}
